@@ -1,5 +1,5 @@
 //! Instrumented drop-in replacements for the `std::sync` subset the
-//! `dls-service` core uses.
+//! `dls-service` core and `mpisim`'s window lock use.
 //!
 //! Inside a model run every operation is a visible op of the
 //! deterministic scheduler ([`crate::sched`]): loads/stores/RMWs honour
@@ -386,6 +386,35 @@ impl Condvar {
                 };
                 guard.inner = Some(g);
                 Ok((guard, WaitTimeoutResult { timed_out: r.timed_out() }))
+            }
+        }
+    }
+
+    /// Block until notified (mirrors `std::sync::Condvar::wait`). Inside
+    /// a model the wait has no timeout transition, so a notification
+    /// that never comes leaves the waiter blocked and the explorer
+    /// reports a deadlock — how a lost wake-up shows. Spurious wake-ups
+    /// are not modelled: callers re-check their condition in a loop, and
+    /// an extra re-check only adds schedules a notification already
+    /// covers.
+    #[allow(clippy::type_complexity)]
+    pub fn wait<'a, T>(
+        &self,
+        mut guard: MutexGuard<'a, T>,
+    ) -> Result<MutexGuard<'a, T>, std::sync::PoisonError<MutexGuard<'a, T>>> {
+        match guard.model.clone() {
+            Some((exec, me, lock_vid)) => {
+                let cv = self.vid(&exec);
+                drop(guard.inner.take());
+                exec.cv_wait(me, cv, lock_vid, false);
+                guard.inner = Some(guard.mutex.std_lock());
+                Ok(guard)
+            }
+            None => {
+                let inner = guard.inner.take().expect("guard already released");
+                let g = self.inner.wait(inner).unwrap_or_else(std::sync::PoisonError::into_inner);
+                guard.inner = Some(g);
+                Ok(guard)
             }
         }
     }

@@ -82,7 +82,8 @@ pub(super) struct RankOutcome {
     pub(super) win_stats: RankWinStats,
     /// Wall-clock timeline of this rank (empty unless tracing).
     pub(super) trace: Trace,
-    /// When this rank left the main loop, in ns since the run epoch.
+    /// When this rank left the main loop, in ns since the run epoch
+    /// (0 unless tracing: only the timeline's idle tail uses it).
     pub(super) finish_ns: u64,
     /// Recovery actions this rank performed (lease reclaims + lock
     /// repairs).
@@ -151,6 +152,9 @@ pub fn run_live_mpi_mpi(
 
     let outcomes = Universe::run(topology, move |p| -> mpisim::Result<RankOutcome> {
         let now = || epoch.elapsed().as_nanos() as u64;
+        // Timeline stamps: an untraced run never reads the clock for
+        // them (`Trace::record` drops the empty segment).
+        let stamp = || if do_trace { now() } else { 0 };
         let world = p.world();
         let me = world.rank();
         let mut global_win = Window::allocate(world, if me == 0 { 2 } else { 0 })?;
@@ -198,13 +202,16 @@ pub fn run_live_mpi_mpi(
         let my_node = p.node_id();
         let world_of = |local: u32| my_node * wpn + local;
         let straggle = faults.straggle_factor(me, u64::MAX);
+        // Only a straggler's stretch and AWF's rate history time the
+        // kernel itself.
+        let time_kernel = straggle > 1.0 || awf.is_some();
         // Mirror of my own LEASE_EPOCH slot — single-writer while alive.
         let mut my_epoch: i64 = 0;
         let mut fetches_done: u32 = 0;
 
         loop {
             // ---- probe the local queue under the window lock ----
-            let probe_start = now();
+            let probe_start = stamp();
             if let Some(h) = lock_queue(&local_win, &node_comm, plan_active, detect_polls)? {
                 out.reclaims += 1;
                 out.recovery.push(resilience::RecoveryEvent::LockRepair {
@@ -300,11 +307,11 @@ pub fn run_live_mpi_mpi(
                 }
                 local_win.sync();
                 local_win.unlock(LockKind::Exclusive, 0)?;
-                out.trace.record(me, probe_start, now(), SegmentKind::Sched);
-                let started = std::time::Instant::now();
-                let compute_start = now();
+                out.trace.record(me, probe_start, stamp(), SegmentKind::Sched);
+                let started = time_kernel.then(Instant::now);
+                let compute_start = stamp();
                 execute(workload, &sub, &mut out);
-                if straggle > 1.0 {
+                if let Some(started) = started.filter(|_| straggle > 1.0) {
                     // Injected straggler: stretch the kernel time to
                     // `straggle`× by busy-waiting out the difference.
                     let target = started.elapsed().mul_f64(straggle);
@@ -312,12 +319,12 @@ pub fn run_live_mpi_mpi(
                         std::hint::spin_loop();
                     }
                 }
-                out.trace.record(me, compute_start, now(), SegmentKind::Compute);
-                if awf.is_some() {
+                out.trace.record(me, compute_start, stamp(), SegmentKind::Compute);
+                if let Some(started) = started.filter(|_| awf.is_some()) {
                     // Charge the measured kernel time to the shared
                     // history (AWF-C style: per chunk completion).
                     let elapsed = started.elapsed().as_nanos().min(i64::MAX as u128) as i64;
-                    let hist_start = now();
+                    let hist_start = stamp();
                     lock_queue(&local_win, &node_comm, plan_active, detect_polls)?;
                     // Unified-model visibility: sync before reading
                     // counters peers put under their own epochs (the
@@ -332,7 +339,7 @@ pub fn run_live_mpi_mpi(
                     local_win.put(0, i_slot + 1, tm + elapsed.max(1))?;
                     local_win.sync();
                     local_win.unlock(LockKind::Exclusive, 0)?;
-                    out.trace.record(me, hist_start, now(), SegmentKind::Sched);
+                    out.trace.record(me, hist_start, stamp(), SegmentKind::Sched);
                 }
                 continue;
             }
@@ -379,7 +386,7 @@ pub fn run_live_mpi_mpi(
                 if reclaimed {
                     local_win.sync();
                     local_win.unlock(LockKind::Exclusive, 0)?;
-                    out.trace.record(me, probe_start, now(), SegmentKind::Sched);
+                    out.trace.record(me, probe_start, stamp(), SegmentKind::Sched);
                     continue;
                 }
                 if refilling {
@@ -397,14 +404,14 @@ pub fn run_live_mpi_mpi(
                             from: world_of(rr),
                             at_ns: now(),
                         });
-                        out.trace.record(me, probe_start, now(), SegmentKind::Sched);
+                        out.trace.record(me, probe_start, stamp(), SegmentKind::Sched);
                         continue;
                     }
                 }
             }
             if global_done {
                 local_win.unlock(LockKind::Exclusive, 0)?;
-                out.trace.record(me, probe_start, now(), SegmentKind::Sched);
+                out.trace.record(me, probe_start, stamp(), SegmentKind::Sched);
                 break;
             }
             if refilling {
@@ -413,7 +420,7 @@ pub fn run_live_mpi_mpi(
                 std::thread::yield_now();
                 // A queue-empty observation while a peer refills is peer
                 // waiting, not scheduling work of our own.
-                out.trace.record(me, probe_start, now(), SegmentKind::Sync);
+                out.trace.record(me, probe_start, stamp(), SegmentKind::Sync);
                 continue;
             }
             // This worker becomes the refiller.
@@ -516,13 +523,13 @@ pub fn run_live_mpi_mpi(
             local_win.unlock(LockKind::Exclusive, 0)?;
             // The whole refill transaction (global fetch + deposit) is
             // scheduling overhead.
-            out.trace.record(me, probe_start, now(), SegmentKind::Sched);
+            out.trace.record(me, probe_start, stamp(), SegmentKind::Sched);
         }
 
         if global_mode == crate::config::GlobalQueueMode::SingleAtomic {
             global_win.unlock_all()?;
         }
-        out.finish_ns = now();
+        out.finish_ns = stamp();
         world.barrier();
         global_win.note_barrier();
         local_win.note_barrier();
@@ -531,11 +538,19 @@ pub fn run_live_mpi_mpi(
         }
         let lw = local_win.rank_stats();
         let gw = global_win.rank_stats();
+        // Under SingleAtomic the global window's only epoch is the
+        // run-long lock_all around bare fetch-and-adds: it excludes no
+        // one and spans the whole loop on every region, so it is not
+        // lock time. Count the real epochs only.
+        let (g_wait_ns, g_held_ns) = match global_mode {
+            crate::config::GlobalQueueMode::SingleAtomic => (0, 0),
+            crate::config::GlobalQueueMode::LockedCounters => (gw.lock_wait_ns, gw.lock_held_ns),
+        };
         out.win_stats = RankWinStats {
             lock_acquisitions: lw.lock_acquisitions + gw.lock_acquisitions,
             failed_polls: lw.failed_polls + gw.failed_polls,
-            lock_wait_ns: lw.lock_wait_ns + gw.lock_wait_ns,
-            lock_held_ns: lw.lock_held_ns + gw.lock_held_ns,
+            lock_wait_ns: lw.lock_wait_ns + g_wait_ns,
+            lock_held_ns: lw.lock_held_ns + g_held_ns,
             rma_atomic_ops: lw.rma_atomic_ops + gw.rma_atomic_ops,
             puts: lw.puts + gw.puts,
             gets: lw.gets + gw.gets,
@@ -688,6 +703,22 @@ mod tests {
         for node in &r.stats.nodes {
             assert!(node.lock_acquisitions > 0);
         }
+    }
+
+    #[test]
+    fn single_atomic_lock_time_counts_only_real_epochs() {
+        // The default SingleAtomic mode holds a run-long lock_all on the
+        // global window; counted as lock time it alone would be 2
+        // regions x the loop per rank, past ranks x the wall time.
+        let w = Synthetic::constant(2000, 20_000); // ~20us per iteration
+        let cfg = LiveConfig::new(1, 2, HierSpec::new(Kind::FAC2, Kind::SS), Approach::MpiMpi);
+        assert_eq!(cfg.global_mode, crate::config::GlobalQueueMode::SingleAtomic);
+        let t0 = Instant::now();
+        let r = run_live_mpi_mpi(&cfg, &w).expect("live run");
+        let wall_ns = t0.elapsed().as_nanos() as u64;
+        let lock_ns: u64 = r.stats.workers.iter().map(|ws| ws.lock_time_ns).sum();
+        assert!(lock_ns > 0, "the node-window epochs must still count");
+        assert!(lock_ns <= 2 * wall_ns, "lock time {lock_ns} ns exceeds 2 ranks x {wall_ns} ns");
     }
 
     #[test]

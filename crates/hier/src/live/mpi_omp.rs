@@ -40,6 +40,8 @@ struct ThreadOutcome {
     /// Timeline keyed by the *local* thread id; remapped to global
     /// worker ids during aggregation.
     trace: Trace,
+    /// When this thread left the loop (0 unless tracing: only the
+    /// timeline's idle tail uses it).
     finish_ns: u64,
 }
 
@@ -169,7 +171,9 @@ fn team_thread(
         trace: if do_trace { Trace::recording() } else { Trace::disabled() },
         finish_ns: 0,
     };
-    let now = || epoch.elapsed().as_nanos() as u64;
+    // Timeline stamps: an untraced run never reads the clock (every
+    // stamp is 0 and `Trace::record` drops the empty segment).
+    let now = || if do_trace { epoch.elapsed().as_nanos() as u64 } else { 0 };
     let tid = ctx.thread_num();
     loop {
         let fetch_start = now();

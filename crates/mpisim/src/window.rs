@@ -52,12 +52,11 @@ struct WinState {
     data: Vec<AtomicI64>,
     /// `(offset, len)` of each rank's region within `data`.
     regions: Vec<(usize, usize)>,
-    /// One passive-target lock per rank region.
+    /// One passive-target lock per rank region. Each records the comm
+    /// rank of its current *exclusive* holder, which recovery code uses
+    /// to decide whether a stuck lock is held by a dead rank before
+    /// revoking it.
     locks: Vec<QueuedLock>,
-    /// Comm rank of each region lock's current *exclusive* holder, or
-    /// -1. Recovery code uses this to decide whether a stuck lock is
-    /// held by a dead rank before revoking it.
-    holders: Vec<AtomicI64>,
     shared: bool,
 }
 
@@ -69,9 +68,10 @@ pub struct RankWinStats {
     /// Successful `MPI_Win_lock` epochs this rank opened (shared and
     /// exclusive, including `try_lock` successes and `lock_all`).
     pub lock_acquisitions: u64,
-    /// Failed poll attempts: wake-ups (or `try_lock` failures) while the
-    /// requested lock was still unavailable — this rank's share of the
-    /// lock-attempt message traffic.
+    /// Failed poll attempts: failed admission checks against a lock
+    /// state not seen before (each release or admission the waiter
+    /// observes while still queued), plus `try_lock` failures — this
+    /// rank's share of the lock-attempt message traffic.
     pub failed_polls: u64,
     /// Nanoseconds this rank spent blocked *acquiring* window locks.
     pub lock_wait_ns: u64,
@@ -180,6 +180,11 @@ impl Window {
 
     fn build(comm: &Comm, local_len: usize, shared: bool) -> Result<Window> {
         let lens: Vec<usize> = comm.allgather(local_len)?;
+        assert!(
+            lens.len() <= QueuedLock::MAX_OWNER as usize + 1,
+            "window lock words record holder ranks up to {}",
+            QueuedLock::MAX_OWNER
+        );
         let state = if comm.rank() == 0 {
             let mut regions = Vec::with_capacity(lens.len());
             let mut offset = 0usize;
@@ -191,7 +196,6 @@ impl Window {
                 id: NEXT_WIN_ID.fetch_add(1, Ordering::Relaxed),
                 data: (0..offset).map(|_| AtomicI64::new(0)).collect(),
                 locks: (0..lens.len()).map(|_| QueuedLock::new()).collect(),
-                holders: (0..lens.len()).map(|_| AtomicI64::new(-1)).collect(),
                 regions,
                 shared,
             });
@@ -260,6 +264,13 @@ impl Window {
             .ok_or(Error::RankOutOfRange { rank: target, size: self.comm.size() })
     }
 
+    fn lock_of(&self, target: u32) -> Result<&QueuedLock> {
+        self.state
+            .locks
+            .get(target as usize)
+            .ok_or(Error::RankOutOfRange { rank: target, size: self.comm.size() })
+    }
+
     fn slot(&self, target: u32, disp: usize) -> Result<&AtomicI64> {
         let (offset, len) = self.region(target)?;
         if disp >= len {
@@ -286,20 +297,12 @@ impl Window {
     /// on `target`'s region. Blocks until granted.
     pub fn lock(&self, kind: LockKind, target: u32) -> Result<()> {
         self.check_alive(target)?;
-        let lock = self
-            .state
-            .locks
-            .get(target as usize)
-            .ok_or(Error::RankOutOfRange { rank: target, size: self.comm.size() })?;
+        let lock = self.lock_of(target)?;
         let requested = Instant::now();
         let polls = match kind {
-            LockKind::Exclusive => lock.lock_exclusive(),
+            LockKind::Exclusive => lock.lock_exclusive(self.comm.rank()),
             LockKind::Shared => lock.lock_shared(),
         };
-        if kind == LockKind::Exclusive {
-            self.state.holders[target as usize]
-                .store(i64::from(self.comm.rank()), Ordering::SeqCst);
-        }
         self.rank.granted(target, requested, polls);
         // Stamped after the grant: a correctly-disciplined exclusive
         // epoch's [Lock.seq, Unlock.seq] interval cannot overlap another
@@ -314,15 +317,9 @@ impl Window {
     /// `unlock(LockKind::Exclusive, target)`.
     pub fn try_lock_exclusive(&self, target: u32) -> Result<bool> {
         self.check_alive(target)?;
-        let lock = self
-            .state
-            .locks
-            .get(target as usize)
-            .ok_or(Error::RankOutOfRange { rank: target, size: self.comm.size() })?;
+        let lock = self.lock_of(target)?;
         let requested = Instant::now();
-        if lock.try_lock_exclusive() {
-            self.state.holders[target as usize]
-                .store(i64::from(self.comm.rank()), Ordering::SeqCst);
+        if lock.try_lock_exclusive(self.comm.rank()) {
             self.rank.granted(target, requested, 0);
             self.rec(RmaEvent::Lock { kind: LockKind::Exclusive, target });
             Ok(true)
@@ -334,19 +331,10 @@ impl Window {
 
     /// `MPI_Win_unlock(target)`: end the epoch begun by [`Window::lock`].
     pub fn unlock(&self, kind: LockKind, target: u32) -> Result<()> {
-        let lock = self
-            .state
-            .locks
-            .get(target as usize)
-            .ok_or(Error::RankOutOfRange { rank: target, size: self.comm.size() })?;
+        let lock = self.lock_of(target)?;
         // Stamped before the release (even if the release turns out to
         // be mismatched — the checker wants to see the attempt).
         self.rec(RmaEvent::Unlock { kind, target });
-        if kind == LockKind::Exclusive {
-            // Cleared before the release so an observer never sees a
-            // stale holder on an already-free lock.
-            self.state.holders[target as usize].store(-1, Ordering::SeqCst);
-        }
         let ok = match kind {
             LockKind::Exclusive => lock.unlock_exclusive(),
             LockKind::Shared => lock.unlock_shared(),
@@ -506,11 +494,7 @@ impl Window {
     /// Contention statistics of `target`'s lock:
     /// `(acquisitions, contended, polls)`.
     pub fn lock_stats(&self, target: u32) -> Result<(u64, u64, u64)> {
-        let lock = self
-            .state
-            .locks
-            .get(target as usize)
-            .ok_or(Error::RankOutOfRange { rank: target, size: self.comm.size() })?;
+        let lock = self.lock_of(target)?;
         Ok(lock.stats().snapshot())
     }
 
@@ -525,9 +509,7 @@ impl Window {
 
     /// Comm rank currently holding `target`'s lock exclusively, if any.
     pub fn exclusive_holder(&self, target: u32) -> Result<Option<u32>> {
-        self.region(target)?;
-        let h = self.state.holders[target as usize].load(Ordering::SeqCst);
-        Ok(u32::try_from(h).ok())
+        Ok(self.lock_of(target)?.holder())
     }
 
     /// Count one lease reclamation performed by this rank into
@@ -539,30 +521,18 @@ impl Window {
     /// Lock repair: revoke an exclusive hold left on `target`'s lock by
     /// a *dead* rank. Refuses to touch a live holder's epoch. Returns
     /// `true` when this call performed the revocation; concurrent
-    /// repair attempts race on the holder slot and exactly one wins.
+    /// repair attempts race on the lock word and exactly one wins.
     /// The FIFO ticket queue is preserved, so surviving waiters are
     /// admitted in arrival order afterwards.
     pub fn repair_lock(&self, target: u32) -> Result<bool> {
-        let lock = self
-            .state
-            .locks
-            .get(target as usize)
-            .ok_or(Error::RankOutOfRange { rank: target, size: self.comm.size() })?;
-        let holder = self.state.holders[target as usize].load(Ordering::SeqCst);
-        let Ok(holder_rank) = u32::try_from(holder) else {
+        let lock = self.lock_of(target)?;
+        let Some(holder) = lock.holder() else {
             return Ok(false); // not exclusively held
         };
-        if !self.comm.is_failed(holder_rank) {
+        if !self.comm.is_failed(holder) {
             return Ok(false); // holder alive: not ours to revoke
         }
-        // CAS elects a single repairer; the loser backs off.
-        if self.state.holders[target as usize]
-            .compare_exchange(holder, -1, Ordering::SeqCst, Ordering::SeqCst)
-            .is_err()
-        {
-            return Ok(false);
-        }
-        let revoked = lock.revoke_exclusive();
+        let revoked = lock.revoke_exclusive(holder);
         if revoked {
             self.rank.reclaims.fetch_add(1, Ordering::Relaxed);
             // The repairer closes the corpse's epoch in the log so the
